@@ -9,12 +9,15 @@
 //! the memory system sees consolidation pressure, not a steady state.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use chameleon::{Architecture, ScaledParams, System, SystemReport};
 use chameleon_cpu::{InstructionStream, MultiCore, Op, RunReport};
 use chameleon_os::Pid;
 use chameleon_simkit::Cycle;
-use chameleon_workloads::{AppSpec, AppStream, LoopConfig, LoopStream, ZipfConfig, ZipfStream};
+use chameleon_workloads::{
+    AppSpec, AppStream, LoopConfig, LoopStream, ZipfConfig, ZipfStream, ZipfTable,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::job::{generate_jobs, JobCell};
@@ -189,7 +192,16 @@ struct TenantAgg {
     promoted: u64,
 }
 
-fn admit(sys: &mut System, cell: &JobCell, params: &ScaledParams) -> (Pid, JobStream) {
+/// Zipf rank tables of one scenario run, keyed by `(lines, skew bits)`:
+/// a table depends on nothing else, so every job of that shape shares it.
+type ZipfTables = BTreeMap<(u64, u64), Arc<ZipfTable>>;
+
+fn admit(
+    sys: &mut System,
+    cell: &JobCell,
+    params: &ScaledParams,
+    zipf_tables: &mut ZipfTables,
+) -> (Pid, JobStream) {
     match &cell.workload {
         WorkloadKind::App { name } => {
             // INVARIANT: ScenarioSpec::validate / the presets only carry
@@ -208,11 +220,14 @@ fn admit(sys: &mut System, cell: &JobCell, params: &ScaledParams) -> (Pid, JobSt
                 mem_per_kilo: cell.mem_per_kilo,
                 write_fraction: ZIPF_WRITE_FRACTION,
             };
+            let lines = cfg.lines();
+            let table = zipf_tables
+                .entry((lines, skew.to_bits()))
+                .or_insert_with(|| Arc::new(ZipfTable::new(lines, *skew)));
+            let stream =
+                ZipfStream::with_table(&cfg, Arc::clone(table), cell.instructions, cell.seed);
             let pid = sys.spawn_process(cell.footprint);
-            (
-                pid,
-                JobStream::Zipf(ZipfStream::new(&cfg, cell.instructions, cell.seed)),
-            )
+            (pid, JobStream::Zipf(stream))
         }
         WorkloadKind::Scan { stride_lines } => {
             let cfg = LoopConfig {
@@ -261,6 +276,7 @@ pub fn run_scenario(
     let mut now: Cycle = 0;
     let mut pressure_cycles: Cycle = 0;
     let mut last_run = RunReport::default();
+    let mut zipf_tables = ZipfTables::new();
 
     while completed < cells.len() {
         if ready.is_empty() {
@@ -274,7 +290,7 @@ pub fn run_scenario(
         }
         while next_arrival < cells.len() && cells[next_arrival].arrival <= now {
             let cell = &cells[next_arrival];
-            let (pid, stream) = admit(&mut sys, cell, params);
+            let (pid, stream) = admit(&mut sys, cell, params, &mut zipf_tables);
             pid_of[cell.id] = Some(pid);
             active[cell.id] = Some(ActiveJob {
                 pid,
@@ -289,42 +305,37 @@ pub fn run_scenario(
         ready.sort_by_key(|&i| (cells[i].class, cells[i].arrival, i));
         let scheduled: Vec<usize> = ready[..ready.len().min(n_cores)].to_vec();
 
-        // Align every core on the scenario clock, then point the
-        // scheduled cores at their tenants.
+        // Align every core on the scenario clock, then take the
+        // scheduled jobs out of `active` and point their cores at them.
         for c in 0..n_cores {
             cores.core_mut(c).advance_to(now);
         }
+        let mut running = Vec::with_capacity(scheduled.len());
         for (c, &ji) in scheduled.iter().enumerate() {
             // INVARIANT: `ready` only holds admitted, unfinished jobs.
-            let pid = active[ji].as_ref().expect("scheduled job is active").pid;
-            sys.bind_core(c, pid);
+            let job = active[ji].take().expect("scheduled job is active");
+            sys.bind_core(c, job.pid);
+            running.push(job);
         }
 
-        // Lend the scheduled jobs' streams out for one quantum. A single
-        // pass over `active` hands out disjoint mutable borrows.
-        let mut lent: Vec<Option<&mut ActiveJob>> = scheduled.iter().map(|_| None).collect();
-        for (idx, slot) in active.iter_mut().enumerate() {
-            if let Some(pos) = scheduled.iter().position(|&j| j == idx) {
-                lent[pos] = slot.as_mut();
-            }
-        }
-        let mut slots: Vec<CoreSlot> = lent
-            .into_iter()
-            .map(|l| match l {
-                Some(job) => CoreSlot::Busy(SliceStream {
+        // Lend the taken jobs' streams out for one quantum.
+        let mut slots: Vec<CoreSlot> = running
+            .iter_mut()
+            .map(|job| {
+                CoreSlot::Busy(SliceStream {
                     job,
                     left: spec.quantum.max(1),
-                }),
-                None => CoreSlot::Idle,
+                })
             })
             .collect();
         slots.resize_with(n_cores, || CoreSlot::Idle);
 
         let run = cores.run(slots, &mut sys);
 
-        // Charge each job its core's advance and retire finished jobs.
+        // Charge each job its core's advance, exit finished jobs and
+        // put the rest back.
         let mut slice_end = now;
-        for (c, &ji) in scheduled.iter().enumerate() {
+        for (c, (&ji, job)) in scheduled.iter().zip(running).enumerate() {
             let clock = run.cores[c].cycles;
             slice_end = slice_end.max(clock);
             let st = &mut state[ji];
@@ -333,15 +344,15 @@ pub fn run_scenario(
             if st.first_scheduled.is_none() {
                 st.first_scheduled = Some(now);
             }
-            let done = active[ji].as_ref().is_some_and(|j| j.done);
-            if done {
+            if job.done {
                 st.finish = Some(clock);
                 // INVARIANT: the pid was spawned at admission and the
                 // job exits exactly once.
-                sys.exit_process(active[ji].as_ref().expect("job is active").pid, clock)
+                sys.exit_process(job.pid, clock)
                     .expect("scenario pids are live");
-                active[ji] = None;
                 completed += 1;
+            } else {
+                active[ji] = Some(job);
             }
         }
         ready.retain(|&ji| active[ji].is_some());

@@ -5,7 +5,9 @@
 //! floating-point arithmetic: Bernoulli draws compared a converted f64
 //! against a probability, and Zipf ranks inverted a power-law CDF with
 //! two `powf` calls per draw. This module precomputes that work into
-//! integer tables built once per stream:
+//! integer tables: a [`Bernoulli`] gate once per stream, a [`ZipfTable`]
+//! once per `(lines, skew)`, shared by every stream of that shape
+//! ([`crate::ZipfStream::with_table`]):
 //!
 //! * [`Bernoulli`] — the probability collapses to a 53-bit integer
 //!   threshold ([`DeterministicRng::chance_threshold`]), so each draw is
@@ -96,6 +98,8 @@ pub struct OpMixGates {
 #[derive(Debug, Clone)]
 pub struct ZipfTable {
     lines: u64,
+    /// The skew the table was built for, verbatim.
+    skew: f64,
     /// Whether the legacy `s ≈ 1` branch applies (same predicate).
     skew_is_one: bool,
     n: f64,
@@ -135,6 +139,7 @@ impl ZipfTable {
         let e = 1.0 - skew;
         let mut t = Self {
             lines,
+            skew,
             skew_is_one,
             n,
             e,
@@ -170,6 +175,16 @@ impl ZipfTable {
             t.guide.push(r as u32);
         }
         t
+    }
+
+    /// Footprint in lines the table was built for.
+    pub fn lines(&self) -> u64 {
+        self.lines
+    }
+
+    /// Skew exponent the table was built for.
+    pub fn skew(&self) -> f64 {
+        self.skew
     }
 
     /// The legacy rank pipeline for draw `m` — bit-identical to

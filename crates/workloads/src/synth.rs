@@ -5,6 +5,8 @@
 //! not cover — a skewed key-value working set rewards hot-page promotion,
 //! while a pure scan defeats any reuse-based placement policy.
 
+use std::sync::Arc;
+
 use chameleon_cpu::{InstructionStream, Op};
 use chameleon_simkit::mem::ByteSize;
 use chameleon_simkit::rng::DeterministicRng;
@@ -33,6 +35,17 @@ pub struct ZipfConfig {
     pub mem_per_kilo: u32,
     /// Fraction of memory operations that are stores.
     pub write_fraction: f64,
+}
+
+impl ZipfConfig {
+    /// Footprint in whole lines, the table shape [`ZipfTable::new`] takes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the footprint is smaller than one page.
+    pub fn lines(&self) -> u64 {
+        footprint_lines(self.footprint)
+    }
 }
 
 impl Default for ZipfConfig {
@@ -150,12 +163,12 @@ fn footprint_lines(footprint: ByteSize) -> u64 {
 #[derive(Debug)]
 pub struct ZipfStream {
     lines: u64,
-    skew: f64,
     write_fraction: f64,
     pacer: Pacer,
     rng: DeterministicRng,
-    /// Precomputed head-boundary rank table (see [`crate::decode`]).
-    table: ZipfTable,
+    /// Precomputed head-boundary rank table (see [`crate::decode`]),
+    /// shared by every stream of the same `(lines, skew)`.
+    table: Arc<ZipfTable>,
     write_gate: Bernoulli,
     /// `false` routes draws through the legacy float decoder — the
     /// differential-test oracle ([`Self::set_table_decode`]).
@@ -163,22 +176,47 @@ pub struct ZipfStream {
 }
 
 impl ZipfStream {
-    /// Builds a stream of `instructions` total instructions.
+    /// Builds a stream of `instructions` total instructions, with its own
+    /// rank table.
     ///
     /// # Panics
     ///
     /// Panics if the footprint is smaller than one page or the skew is
     /// negative.
     pub fn new(cfg: &ZipfConfig, instructions: u64, seed: u64) -> Self {
-        assert!(cfg.skew >= 0.0, "zipf skew must be non-negative");
-        let lines = footprint_lines(cfg.footprint);
+        let table = ZipfTable::new(cfg.lines(), cfg.skew);
+        Self::with_table(cfg, Arc::new(table), instructions, seed)
+    }
+
+    /// Builds a stream over a prebuilt rank table. A table depends only
+    /// on `(lines, skew)`, so every stream of that shape can share one
+    /// and emit exactly the ops [`Self::new`] would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the footprint is smaller than one page, or if `table`
+    /// was built for a different line count or skew than `cfg`'s.
+    pub fn with_table(
+        cfg: &ZipfConfig,
+        table: Arc<ZipfTable>,
+        instructions: u64,
+        seed: u64,
+    ) -> Self {
+        let lines = cfg.lines();
+        assert!(
+            table.lines() == lines && table.skew().to_bits() == cfg.skew.to_bits(),
+            "zipf table built for ({} lines, skew {}) does not match the config's \
+             ({lines} lines, skew {})",
+            table.lines(),
+            table.skew(),
+            cfg.skew
+        );
         Self {
             lines,
-            skew: cfg.skew,
             write_fraction: cfg.write_fraction,
             pacer: Pacer::new(cfg.mem_per_kilo, instructions),
             rng: DeterministicRng::seed(seed ^ 0x51BF_CAFE),
-            table: ZipfTable::new(lines, cfg.skew),
+            table,
             write_gate: Bernoulli::new(cfg.write_fraction),
             table_decode: true,
         }
@@ -201,12 +239,13 @@ impl ZipfStream {
     /// float path, kept verbatim as the differential-test oracle.
     fn rank_legacy(&mut self) -> u64 {
         let n = self.lines as f64;
+        let skew = self.table.skew();
         let u = self.rng.unit().clamp(0.0, 1.0 - 1e-12);
-        let x = if (self.skew - 1.0).abs() < 1e-9 {
+        let x = if (skew - 1.0).abs() < 1e-9 {
             // s ≈ 1: CDF ∝ ln(x), so x = n^u.
             n.powf(u)
         } else {
-            let e = 1.0 - self.skew;
+            let e = 1.0 - skew;
             ((n.powf(e) - 1.0) * u + 1.0).powf(1.0 / e)
         };
         (x as u64).clamp(1, self.lines) - 1
@@ -437,5 +476,21 @@ mod tests {
             ..ZipfConfig::default()
         };
         ZipfStream::new(&cfg, 1000, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match")]
+    fn shared_table_with_other_line_count_rejected() {
+        let cfg = ZipfConfig::default();
+        let table = Arc::new(ZipfTable::new(cfg.lines() / 2, cfg.skew));
+        ZipfStream::with_table(&cfg, table, 1000, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match")]
+    fn shared_table_with_other_skew_rejected() {
+        let cfg = ZipfConfig::default();
+        let table = Arc::new(ZipfTable::new(cfg.lines(), 0.5));
+        ZipfStream::with_table(&cfg, table, 1000, 0);
     }
 }

@@ -8,11 +8,17 @@
 //! optimisation: the precomputed integer thresholds ([`Bernoulli`]) and
 //! the Zipf head-boundary table replay the float draws bit for bit, so
 //! a `SystemReport` produced on the fast path is the report, not an
-//! approximation of it.
+//! approximation of it. A [`ZipfTable`] is immutable once built, so
+//! streams sharing one through [`ZipfStream::with_table`] emit exactly
+//! what streams with private tables do.
+
+use std::sync::Arc;
 
 use chameleon_cpu::{InstructionStream, Op};
 use chameleon_simkit::mem::ByteSize;
-use chameleon_workloads::{AppSpec, AppStream, LoopConfig, LoopStream, ZipfConfig, ZipfStream};
+use chameleon_workloads::{
+    AppSpec, AppStream, LoopConfig, LoopStream, ZipfConfig, ZipfStream, ZipfTable,
+};
 use proptest::prelude::*;
 
 /// Drains a stream into its full op sequence.
@@ -60,6 +66,49 @@ proptest! {
         legacy_stream.set_table_decode(false);
         let legacy = ops(legacy_stream);
         prop_assert_eq!(table, legacy);
+    }
+
+    /// Shared tables: several streams built over one `Arc<ZipfTable>`
+    /// and drained interleaved, in uneven bursts, each emit exactly the
+    /// op sequence of a stream that built its own table.
+    #[test]
+    fn shared_zipf_table_matches_private_tables(
+        skew in any_skew(),
+        footprint in 4096u64..200_000,
+        jobs in prop::collection::vec((any::<u64>(), 1u64..6_000), 2..6),
+        bursts in prop::collection::vec(1usize..64, 1..16),
+    ) {
+        let cfg = ZipfConfig {
+            footprint: ByteSize::bytes_exact(footprint),
+            skew,
+            mem_per_kilo: 500,
+            write_fraction: 0.3,
+        };
+        let table = Arc::new(ZipfTable::new(cfg.lines(), skew));
+        let mut streams: Vec<ZipfStream> = jobs
+            .iter()
+            .map(|&(seed, budget)| ZipfStream::with_table(&cfg, Arc::clone(&table), budget, seed))
+            .collect();
+        let mut shared: Vec<Vec<Op>> = vec![Vec::new(); streams.len()];
+        let mut done = vec![false; streams.len()];
+        for turn in 0.. {
+            if done.iter().all(|&d| d) {
+                break;
+            }
+            let i = turn % streams.len();
+            for _ in 0..bursts[turn % bursts.len()] {
+                match streams[i].next_op() {
+                    Some(op) => shared[i].push(op),
+                    None => {
+                        done[i] = true;
+                        break;
+                    }
+                }
+            }
+        }
+        for (i, &(seed, budget)) in jobs.iter().enumerate() {
+            prop_assert_eq!(&shared[i], &ops(ZipfStream::new(&cfg, budget, seed)));
+        }
     }
 
     /// Loop/scan: the conditional-subtract wrap plus integer write gate
