@@ -8,9 +8,11 @@ use chameleon_dram::MemOp;
 use crate::policy::{HmaPolicy, ModeDistribution};
 use crate::{HmaConfig, HmaDevices, HmaStats};
 
+/// One TAD's metadata. The set index is implied by the TAD's position,
+/// so only the hardware tag `line / sets` is stored: 4 bytes per set.
 #[derive(Debug, Clone, Copy, Default)]
 struct Tad {
-    tag: u64,
+    tag: u16,
     valid: bool,
     dirty: bool,
 }
@@ -46,8 +48,18 @@ pub struct AlloyPolicy {
 
 impl AlloyPolicy {
     /// Builds the Alloy cache over the configured stacked device.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the off-chip:stacked capacity ratio exceeds 2^16, the
+    /// most a 16-bit tag can tell apart.
     pub fn new(cfg: HmaConfig) -> Self {
-        let sets = (cfg.stacked.capacity.bytes() / 64) as usize;
+        let stacked = cfg.stacked.capacity.bytes();
+        assert!(
+            cfg.offchip.capacity.bytes().div_ceil(stacked) <= 1 << u16::BITS,
+            "off-chip:stacked ratio must fit a 16-bit tag"
+        );
+        let sets = (stacked / 64) as usize;
         Self {
             devices: HmaDevices::new(&cfg),
             tags: vec![Tad::default(); sets],
@@ -64,6 +76,17 @@ impl AlloyPolicy {
 
     fn set_of(&self, line: u64) -> usize {
         (line % self.tags.len() as u64) as usize
+    }
+
+    fn tag_of(&self, line: u64) -> u16 {
+        // INVARIANT: `new` bounds the off-chip:stacked ratio by 2^16, so
+        // the tag of any off-chip line fits 16 bits.
+        (line / self.tags.len() as u64) as u16
+    }
+
+    /// The line cached in `set` under `tag` (inverse of `tag_of`/`set_of`).
+    fn line_of(&self, tag: u16, set: usize) -> u64 {
+        u64::from(tag) * self.tags.len() as u64 + set as u64
     }
 }
 
@@ -84,6 +107,7 @@ impl HmaPolicy for AlloyPolicy {
         let rel = paddr - self.stacked_base;
         let line = rel / 64;
         let set = self.set_of(line);
+        let tag = self.tag_of(line);
         let op = if write { MemOp::Write } else { MemOp::Read };
 
         // One TAD access reads tag+data from the stacked device; on a
@@ -95,7 +119,7 @@ impl HmaPolicy for AlloyPolicy {
             .stacked
             .access(set as u64 * 64, 64, MemOp::Read, now);
         let entry = self.tags[set];
-        let latency = if entry.valid && entry.tag == line {
+        let latency = if entry.valid && entry.tag == tag {
             // Hit: data arrived with the tag.
             if write {
                 self.tags[set].dirty = true;
@@ -110,7 +134,7 @@ impl HmaPolicy for AlloyPolicy {
             // Miss: fetch from off-chip (dispatched in parallel with the
             // probe), fill the set, write back the dirty victim as bulk.
             if entry.valid && entry.dirty {
-                let victim_addr = entry.tag * 64;
+                let victim_addr = self.line_of(entry.tag, set) * 64;
                 self.devices
                     .offchip
                     .bulk(victim_addr, 64, MemOp::Write, now);
@@ -121,7 +145,7 @@ impl HmaPolicy for AlloyPolicy {
                 .stacked
                 .bulk(set as u64 * 64, 64, MemOp::Write, now);
             self.tags[set] = Tad {
-                tag: line,
+                tag,
                 valid: true,
                 dirty: write,
             };
@@ -142,7 +166,7 @@ impl HmaPolicy for AlloyPolicy {
         let line = rel / 64;
         let set = self.set_of(line);
         let entry = self.tags[set];
-        if entry.valid && entry.tag == line {
+        if entry.valid && entry.tag == self.tag_of(line) {
             // Write the cached copy in place (it becomes dirty).
             self.tags[set].dirty = true;
             self.devices
@@ -246,6 +270,42 @@ mod tests {
             a.access(off(i * 64), false, (i + 10) * 10_000_000);
         }
         assert!((a.stats().stacked_hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn tad_is_at_most_4_bytes() {
+        assert!(std::mem::size_of::<Tad>() <= 4);
+    }
+
+    /// A narrow config: 64 KiB stacked (1024 sets) under `ratio`× off-chip.
+    fn narrow(ratio: u64) -> HmaConfig {
+        let mut c = HmaConfig::scaled_laptop();
+        c.stacked.capacity = ByteSize::kib(64);
+        c.offchip.capacity = ByteSize::kib(64 * ratio);
+        c
+    }
+
+    #[test]
+    fn tag_and_set_round_trip_every_line() {
+        for ratio in [3, 5, 7] {
+            let a = AlloyPolicy::new(narrow(ratio));
+            let sets = a.sets() as u64;
+            assert_eq!(sets, 1024);
+            for line in 0..ratio * sets {
+                let (tag, set) = (a.tag_of(line), a.set_of(line));
+                assert!(u64::from(tag) < ratio, "1:{ratio} line {line}");
+                assert_eq!(a.line_of(tag, set), line, "1:{ratio} line {line}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "16-bit tag")]
+    fn ratio_past_u16_tags_rejected() {
+        let mut c = HmaConfig::scaled_laptop();
+        c.stacked.capacity = ByteSize::kib(1);
+        c.offchip.capacity = ByteSize::kib((1 << 16) + 1);
+        AlloyPolicy::new(c);
     }
 
     #[test]

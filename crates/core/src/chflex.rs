@@ -29,16 +29,37 @@ fn mix(mut x: u64) -> u64 {
 
 /// A consistent-hash ring over cache frame indices.
 ///
-/// Each frame contributes [`REPLICAS`] virtual points; a key is owned by
-/// the frame whose point follows the key's hash clockwise. Removing a
-/// frame moves only the keys it owned; adding one back steals only the
-/// keys it will own — every other assignment is untouched (the property
-/// suite proves this for arbitrary rings).
+/// Each frame contributes 8 virtual points; a key is owned by the frame
+/// whose point follows the key's hash clockwise. Removing a frame moves
+/// only the keys it owned; adding one back steals only the keys it will
+/// own — every other assignment is untouched (the property suite proves
+/// this for arbitrary rings).
+///
+/// A removed frame keeps its points in place and is only marked dead;
+/// lookups skip dead points. Because the sorted order of the surviving
+/// points is unchanged, every key gets exactly the owner it would get on
+/// a ring with the dead points deleted, while resizing costs O(1).
 #[derive(Debug, Clone, Default)]
 pub struct HashRing {
-    /// Sorted `(point, frame)` pairs; ties break on frame index so the
-    /// ring is a deterministic function of its membership set.
+    /// Sorted `(point, frame)` pairs of every frame ever added, live or
+    /// dead; ties break on frame index so the ring is a deterministic
+    /// function of the frames it has seen.
     points: Vec<(u64, u32)>,
+    /// Membership of each frame index (indices past the end are absent).
+    state: Vec<Member>,
+    /// Number of live frames.
+    members: usize,
+}
+
+/// A frame's membership on a [`HashRing`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Member {
+    /// Never added: the frame has no points.
+    Absent,
+    /// Removed: its points stay on the ring but own no keys.
+    Dead,
+    /// On the ring: its points own keys.
+    Live,
 }
 
 impl HashRing {
@@ -47,14 +68,37 @@ impl HashRing {
         Self::default()
     }
 
-    /// Number of virtual points on the ring.
+    /// A ring holding frames `0..frames`, built with one sort.
+    pub fn with_frames(frames: u32) -> Self {
+        let mut points: Vec<(u64, u32)> = (0..frames)
+            .flat_map(|f| (0..REPLICAS).map(move |r| (Self::point(f, r), f)))
+            .collect();
+        points.sort_unstable();
+        Self {
+            points,
+            state: vec![Member::Live; frames as usize],
+            members: frames as usize,
+        }
+    }
+
+    /// Number of live virtual points on the ring.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.members * REPLICAS as usize
     }
 
     /// Whether the ring has no members.
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.members == 0
+    }
+
+    /// Number of frames on the ring.
+    pub fn members(&self) -> usize {
+        self.members
+    }
+
+    /// Whether `frame` is on the ring.
+    pub fn contains(&self, frame: u32) -> bool {
+        self.state.get(frame as usize) == Some(&Member::Live)
     }
 
     fn point(frame: u32, replica: u32) -> u64 {
@@ -63,30 +107,47 @@ impl HashRing {
 
     /// Adds a frame's virtual points. Adding a frame twice is a no-op.
     pub fn add(&mut self, frame: u32) {
-        if self.points.iter().any(|&(_, f)| f == frame) {
-            return;
+        let i = frame as usize;
+        if i >= self.state.len() {
+            self.state.resize(i + 1, Member::Absent);
         }
-        for replica in 0..REPLICAS {
-            let entry = (Self::point(frame, replica), frame);
-            let pos = self.points.partition_point(|&p| p < entry);
-            self.points.insert(pos, entry);
+        match self.state[i] {
+            Member::Live => return,
+            Member::Dead => {}
+            Member::Absent => {
+                for replica in 0..REPLICAS {
+                    let entry = (Self::point(frame, replica), frame);
+                    let pos = self.points.partition_point(|&p| p < entry);
+                    self.points.insert(pos, entry);
+                }
+            }
         }
+        self.state[i] = Member::Live;
+        self.members += 1;
     }
 
-    /// Removes a frame's virtual points.
+    /// Takes a frame off the ring (its points stay, marked dead).
     pub fn remove(&mut self, frame: u32) {
-        self.points.retain(|&(_, f)| f != frame);
+        if self.contains(frame) {
+            self.state[frame as usize] = Member::Dead;
+            self.members -= 1;
+        }
     }
 
     /// The frame owning `key`, or `None` if the ring is empty.
     pub fn lookup(&self, key: u64) -> Option<u32> {
-        if self.points.is_empty() {
+        if self.members == 0 {
             return None;
         }
         let h = mix(key);
-        let pos = self.points.partition_point(|&(p, _)| p < h);
-        let (_, frame) = self.points[pos % self.points.len()];
-        Some(frame)
+        let (before, after) = self
+            .points
+            .split_at(self.points.partition_point(|&(p, _)| p < h));
+        after
+            .iter()
+            .chain(before)
+            .map(|&(_, frame)| frame)
+            .find(|&frame| self.contains(frame))
     }
 }
 
@@ -121,8 +182,6 @@ pub struct ChFlexPolicy {
     cfg: HmaConfig,
     devices: HmaDevices,
     frames: Vec<Frame>,
-    /// Frame is on the ring (its stacked segment is OS-free).
-    active: Vec<bool>,
     /// OS allocation state of each stacked segment.
     allocated: Vec<bool>,
     ring: HashRing,
@@ -143,17 +202,12 @@ impl ChFlexPolicy {
                 && cfg.offchip.capacity.bytes().is_multiple_of(seg_bytes),
             "capacities must be segment-aligned"
         );
-        let frames = (stacked_bytes / seg_bytes) as usize;
-        let mut ring = HashRing::new();
-        for f in 0..frames {
-            ring.add(f as u32);
-        }
+        let frames = (stacked_bytes / seg_bytes) as u32;
         Self {
             devices: HmaDevices::new(&cfg),
-            frames: vec![Frame::default(); frames],
-            active: vec![true; frames],
-            allocated: vec![false; frames],
-            ring,
+            frames: vec![Frame::default(); frames as usize],
+            allocated: vec![false; frames as usize],
+            ring: HashRing::with_frames(frames),
             seg_bytes,
             stacked_bytes,
             total_bytes: stacked_bytes + cfg.offchip.capacity.bytes(),
@@ -167,9 +221,9 @@ impl ChFlexPolicy {
         &self.ring
     }
 
-    /// Frames currently serving as cache.
+    /// Frames currently serving as cache (the frames on the ring).
     pub fn active_frames(&self) -> u64 {
-        self.active.iter().filter(|&&a| a).count() as u64
+        self.ring.members() as u64
     }
 
     /// Device-relative stacked base address of a frame.
@@ -195,12 +249,11 @@ impl ChFlexPolicy {
     /// Takes a frame off the ring because its stacked segment was
     /// allocated: the cache shrinks by one segment.
     fn deactivate(&mut self, frame: u32, now: Cycle) {
-        if !self.active[frame as usize] {
+        if !self.ring.contains(frame) {
             return;
         }
         self.flush_frame(frame, now);
         self.ring.remove(frame);
-        self.active[frame as usize] = false;
     }
 
     /// Puts a freed stacked segment back on the ring: the cache grows by
@@ -208,11 +261,10 @@ impl ChFlexPolicy {
     /// now owns, but copies elsewhere whose assignment moved must be
     /// dropped for coherence — each one counts as a `ring_remap`.
     fn activate(&mut self, frame: u32, now: Cycle) {
-        if self.active[frame as usize] {
+        if self.ring.contains(frame) {
             return;
         }
         self.ring.add(frame);
-        self.active[frame as usize] = true;
         for other in 0..self.frames.len() as u32 {
             let f = self.frames[other as usize];
             if f.valid && self.ring.lookup(f.tag) != Some(other) {
@@ -465,6 +517,7 @@ mod tests {
         let mut ch = ChFlexPolicy::new(cfg());
         ch.isa_alloc(0, 1 << 20, 0); // half the stacked range
         assert_eq!(ch.active_frames(), 512);
+        assert!(!ch.ring().contains(511) && ch.ring().contains(512));
         assert_eq!(ch.mode_distribution().pom_groups, 512);
         // Freeing it grows the cache back.
         ch.isa_free(0, 1 << 20, 0);
@@ -537,9 +590,11 @@ mod tests {
     #[test]
     fn ring_lookup_is_deterministic_and_total() {
         let mut ring = HashRing::new();
-        for f in 0..16 {
+        for f in (0..16).rev() {
             ring.add(f);
         }
+        let built = HashRing::with_frames(16);
+        assert_eq!(ring.points, built.points, "one sort == sorted inserts");
         assert_eq!(ring.len(), 16 * REPLICAS as usize);
         for key in 0..1000u64 {
             let a = ring.lookup(key);
@@ -548,9 +603,12 @@ mod tests {
             assert!(a.is_some_and(|f| f < 16));
         }
         ring.remove(3);
+        assert!(!ring.contains(3) && ring.members() == 15);
         for key in 0..1000u64 {
             assert!(ring.lookup(key).is_some_and(|f| f != 3));
         }
+        ring.add(3);
+        assert_eq!(ring.points, built.points, "re-adding keeps the points");
         assert!(HashRing::new().lookup(42).is_none());
     }
 

@@ -21,7 +21,8 @@ pub enum Mode {
     Cache,
 }
 
-/// Per-group SRRT state.
+/// Per-group SRRT state, packed into 32 bytes (CAMEO keeps one per
+/// 64-byte line, so the entry size sets that scheme's memory footprint).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SrrtEntry {
     /// `remap[logical] = physical` slot permutation (the tag bits).
@@ -32,28 +33,33 @@ pub struct SrrtEntry {
     /// linear scan (hardware reads the tag bits associatively; this is
     /// the software equivalent).
     inv: [u8; MAX_SLOTS],
-    /// Number of live slots.
-    slots: u8,
+    /// Slot count (bits 0–3), mode bit (`META_CACHE`) and the cached
+    /// copy's dirty bit (`META_DIRTY`).
+    meta: u8,
     /// Alloc Bit Vector: bit `l` set iff logical segment `l` is allocated.
     abv: u8,
-    /// Mode bit.
-    mode: Mode,
-    /// Dirty bit for the cached copy (cache mode only).
-    dirty: bool,
-    /// Logical id currently cached in the stacked physical slot, if any.
-    cached: Option<u8>,
+    /// Logical id currently cached in the stacked physical slot
+    /// (`NO_SEGMENT` = none).
+    cached: u8,
     /// Competing-counter candidate (logical id).
     cand: u8,
     /// Competing-counter value.
     count: u16,
     /// Cycle until which an in-flight swap/fill occupies this group.
     busy_until: Cycle,
-    /// Logical segments currently in transit (`NO_TRANSIT` = unused).
+    /// Logical segments currently in transit (`NO_SEGMENT` = unused).
     transit: [u8; 2],
 }
 
-/// Sentinel for an unused transit slot.
-const NO_TRANSIT: u8 = u8::MAX;
+/// Sentinel for an absent logical id (empty cache slot, unused transit
+/// slot).
+const NO_SEGMENT: u8 = u8::MAX;
+/// `meta` bits holding the slot count.
+const META_SLOTS: u8 = 0x0F;
+/// `meta` bit set in cache mode.
+const META_CACHE: u8 = 1 << 4;
+/// `meta` bit set while the cached copy is dirty.
+const META_DIRTY: u8 = 1 << 5;
 
 impl SrrtEntry {
     /// A fresh identity-mapped entry in PoM mode with nothing allocated.
@@ -73,41 +79,39 @@ impl SrrtEntry {
         Self {
             remap,
             inv: remap,
-            slots,
+            meta: slots,
             abv: 0,
-            mode: Mode::Pom,
-            dirty: false,
-            cached: None,
+            cached: NO_SEGMENT,
             cand: 0,
             count: 0,
             busy_until: 0,
-            transit: [NO_TRANSIT; 2],
+            transit: [NO_SEGMENT; 2],
         }
     }
 
     /// Number of slots in this group.
     pub fn slots(&self) -> u8 {
-        self.slots
+        self.meta & META_SLOTS
     }
 
     /// Physical slot currently holding logical segment `l`'s home data.
     // lint: hot-path
     pub fn physical_of(&self, l: u8) -> u8 {
-        debug_assert!(l < self.slots);
+        debug_assert!(l < self.slots());
         self.remap[l as usize]
     }
 
     /// Logical segment whose home data occupies physical slot `p`.
     // lint: hot-path
     pub fn logical_in(&self, p: u8) -> u8 {
-        debug_assert!(p < self.slots);
+        debug_assert!(p < self.slots());
         self.inv[p as usize]
     }
 
     /// Swaps the homes of logical segments `a` and `b`.
     // lint: hot-path
     pub fn swap_homes(&mut self, a: u8, b: u8) {
-        debug_assert!(a < self.slots && b < self.slots);
+        debug_assert!(a < self.slots() && b < self.slots());
         self.remap.swap(a as usize, b as usize);
         self.inv[self.remap[a as usize] as usize] = a;
         self.inv[self.remap[b as usize] as usize] = b;
@@ -115,7 +119,7 @@ impl SrrtEntry {
 
     /// Marks logical segment `l` allocated or free.
     pub fn set_allocated(&mut self, l: u8, allocated: bool) {
-        debug_assert!(l < self.slots);
+        debug_assert!(l < self.slots());
         if allocated {
             self.abv |= 1 << l;
         } else {
@@ -125,18 +129,18 @@ impl SrrtEntry {
 
     /// Whether logical segment `l` is allocated.
     pub fn is_allocated(&self, l: u8) -> bool {
-        debug_assert!(l < self.slots);
+        debug_assert!(l < self.slots());
         self.abv & (1 << l) != 0
     }
 
     /// Whether every segment in the group is allocated.
     pub fn all_allocated(&self) -> bool {
-        self.abv == ((1u16 << self.slots) - 1) as u8
+        self.abv == ((1u16 << self.slots()) - 1) as u8
     }
 
     /// Some free logical segment other than `except`, if one exists.
     pub fn free_logical_except(&self, except: u8) -> Option<u8> {
-        (0..self.slots).find(|&l| l != except && !self.is_allocated(l))
+        (0..self.slots()).find(|&l| l != except && !self.is_allocated(l))
     }
 
     /// Number of allocated segments.
@@ -146,37 +150,45 @@ impl SrrtEntry {
 
     /// Current mode.
     pub fn mode(&self) -> Mode {
-        self.mode
+        if self.meta & META_CACHE != 0 {
+            Mode::Cache
+        } else {
+            Mode::Pom
+        }
     }
 
     /// Sets the mode, resetting the competing counter on change.
     pub fn set_mode(&mut self, mode: Mode) {
-        if self.mode != mode {
+        if self.mode() != mode {
             self.count = 0;
             self.cand = 0;
         }
-        self.mode = mode;
+        match mode {
+            Mode::Cache => self.meta |= META_CACHE,
+            Mode::Pom => self.meta &= !META_CACHE,
+        }
     }
 
     /// The logical segment cached in the stacked slot (cache mode).
     pub fn cached(&self) -> Option<u8> {
-        self.cached
+        (self.cached != NO_SEGMENT).then_some(self.cached)
     }
 
     /// Installs or clears the cached segment; clears the dirty bit.
     pub fn set_cached(&mut self, l: Option<u8>) {
-        self.cached = l;
-        self.dirty = false;
+        debug_assert!(l.is_none_or(|l| l < self.slots()));
+        self.cached = l.unwrap_or(NO_SEGMENT);
+        self.meta &= !META_DIRTY;
     }
 
     /// The cache-mode dirty bit.
     pub fn is_dirty(&self) -> bool {
-        self.dirty
+        self.meta & META_DIRTY != 0
     }
 
     /// Marks the cached copy dirty.
     pub fn mark_dirty(&mut self) {
-        self.dirty = true;
+        self.meta |= META_DIRTY;
     }
 
     /// Competing-counter update for a PoM-mode access to logical `l`
@@ -231,7 +243,7 @@ impl SrrtEntry {
     /// completing at `until`.
     pub fn set_transit(&mut self, a: u8, b: Option<u8>, until: Cycle) {
         self.busy_until = self.busy_until.max(until);
-        self.transit = [a, b.unwrap_or(NO_TRANSIT)];
+        self.transit = [a, b.unwrap_or(NO_SEGMENT)];
     }
 
     /// Whether logical segment `l` is one of the segments in transit at
@@ -250,9 +262,9 @@ impl SrrtEntry {
         } else if self.transit[1] == l {
             self.transit[0]
         } else {
-            NO_TRANSIT
+            NO_SEGMENT
         };
-        if partner == NO_TRANSIT {
+        if partner == NO_SEGMENT {
             self.physical_of(l)
         } else {
             self.physical_of(partner)
@@ -262,16 +274,16 @@ impl SrrtEntry {
     /// Marks all in-flight transfers complete (warm-up settling).
     pub fn clear_busy(&mut self) {
         self.busy_until = 0;
-        self.transit = [NO_TRANSIT; 2];
+        self.transit = [NO_SEGMENT; 2];
     }
 
     /// Debug invariant: `remap` is a permutation of `0..slots` and `inv`
     /// is its inverse.
     pub fn check_permutation(&self) -> bool {
         let mut seen = [false; MAX_SLOTS];
-        for l in 0..self.slots {
+        for l in 0..self.slots() {
             let p = self.remap[l as usize];
-            if p >= self.slots || seen[p as usize] {
+            if p >= self.slots() || seen[p as usize] {
                 return false;
             }
             seen[p as usize] = true;
@@ -437,13 +449,23 @@ mod tests {
     #[test]
     fn dirty_and_cached_flags() {
         let mut e = SrrtEntry::new(6);
+        e.set_mode(Mode::Cache);
         e.set_cached(Some(4));
         assert_eq!(e.cached(), Some(4));
         assert!(!e.is_dirty());
         e.mark_dirty();
         assert!(e.is_dirty());
+        // Mode, dirty and slot count share a byte: a mode change keeps
+        // the others.
+        e.set_mode(Mode::Pom);
+        assert_eq!((e.slots(), e.cached(), e.is_dirty()), (6, Some(4), true));
         e.set_cached(None);
         assert!(!e.is_dirty(), "clearing the cache clears dirty");
+    }
+
+    #[test]
+    fn entry_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<SrrtEntry>(), 32);
     }
 
     #[test]

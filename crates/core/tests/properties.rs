@@ -312,6 +312,87 @@ proptest! {
     }
 }
 
+/// A reference ring: points are inserted sorted per added frame and
+/// deleted with `retain` per removed frame. Its hashing is restated here
+/// (SplitMix64, 8 points per frame) so the comparison does not lean on
+/// the code under test.
+#[derive(Default)]
+struct OracleRing {
+    points: Vec<(u64, u32)>,
+}
+
+impl OracleRing {
+    fn mix(mut x: u64) -> u64 {
+        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
+    fn add(&mut self, frame: u32) {
+        if self.points.iter().any(|&(_, f)| f == frame) {
+            return;
+        }
+        for replica in 0..8u32 {
+            let entry = (
+                Self::mix((u64::from(frame) << 32) | u64::from(replica)),
+                frame,
+            );
+            let pos = self.points.partition_point(|&p| p < entry);
+            self.points.insert(pos, entry);
+        }
+    }
+
+    fn remove(&mut self, frame: u32) {
+        self.points.retain(|&(_, f)| f != frame);
+    }
+
+    fn lookup(&self, key: u64) -> Option<u32> {
+        if self.points.is_empty() {
+            return None;
+        }
+        let h = Self::mix(key);
+        let pos = self.points.partition_point(|&(p, _)| p < h);
+        Some(self.points[pos % self.points.len()].1)
+    }
+}
+
+proptest! {
+    /// The one-sort, dead-marking ring assigns every key exactly as the
+    /// sorted-insert/`retain` ring does, through arbitrary resizes —
+    /// frames inside and outside the initial `0..n`, duplicates, and all
+    /// the way down to an empty ring.
+    #[test]
+    fn ring_matches_the_sorted_insert_oracle(
+        n in 0u32..24,
+        steps in prop::collection::vec((any::<bool>(), 0u32..40), 0..60),
+        keys in prop::collection::vec(any::<u64>(), 1..64),
+    ) {
+        let mut ring = HashRing::with_frames(n);
+        let mut oracle = OracleRing::default();
+        for f in 0..n {
+            oracle.add(f);
+        }
+        // Drain everything at the end so the empty ring is always reached.
+        let drain = (0..40).map(|f| (false, f));
+        for (i, (add, frame)) in steps.into_iter().chain(drain).enumerate() {
+            if add {
+                ring.add(frame);
+                oracle.add(frame);
+            } else {
+                ring.remove(frame);
+                oracle.remove(frame);
+            }
+            prop_assert_eq!(ring.len(), oracle.points.len(), "step {}", i);
+            prop_assert_eq!(ring.is_empty(), oracle.points.is_empty(), "step {}", i);
+            for &k in &keys {
+                prop_assert_eq!(ring.lookup(k), oracle.lookup(k), "step {} key {}", i, k);
+            }
+        }
+        prop_assert!(ring.is_empty());
+    }
+}
+
 proptest! {
     /// The hardware bit encoding of an SRRT entry roundtrips losslessly
     /// for every reachable (permutation, ABV, mode, counter) combination.
@@ -322,6 +403,9 @@ proptest! {
         cache_mode in any::<bool>(),
         counter in any::<u16>(),
         slots in prop::sample::select(vec![4u8, 6, 8]),
+        has_cached in any::<bool>(),
+        cached_id in any::<u8>(),
+        dirty in any::<bool>(),
     ) {
         let mut e = SrrtEntry::new(slots);
         for (a, b) in swaps {
@@ -330,8 +414,20 @@ proptest! {
         for l in 0..slots {
             e.set_allocated(l, abv_bits & (1 << (l % 6)) != 0);
         }
-        e.set_mode(if cache_mode { Mode::Cache } else { Mode::Pom });
+        let mode = if cache_mode { Mode::Cache } else { Mode::Pom };
+        e.set_mode(mode);
+        let cached = has_cached.then_some(cached_id % slots);
+        e.set_cached(cached);
+        if dirty {
+            e.mark_dirty();
+        }
         e.set_counter(counter);
+        // Slot count, mode, dirty and the cached id share packed storage:
+        // each must read back exactly what was written.
+        prop_assert_eq!(e.slots(), slots);
+        prop_assert_eq!(e.mode(), mode);
+        prop_assert_eq!(e.cached(), cached);
+        prop_assert_eq!(e.is_dirty(), dirty);
         let packed = encoding::pack(&e);
         prop_assert_eq!(packed.width as u32, encoding::entry_bits(slots));
         let back = encoding::unpack(&packed, slots);
@@ -340,6 +436,9 @@ proptest! {
             prop_assert_eq!(back.is_allocated(l), e.is_allocated(l));
         }
         prop_assert_eq!(back.mode(), e.mode());
+        prop_assert_eq!(back.is_dirty(), e.is_dirty());
+        prop_assert_eq!(back.cached().is_some(), e.is_dirty(), "a dirty bit implies a cached copy");
+        prop_assert_eq!(back.slots(), slots);
         prop_assert_eq!(back.counter(), e.counter());
         prop_assert!(back.check_permutation());
     }

@@ -1,6 +1,6 @@
 //! A small Rust tokenizer for the call-graph passes.
 //!
-//! The line-oriented sanitizer in [`crate::source`] is enough for the
+//! The line-oriented sanitizer in the `source` module is enough for the
 //! local token rules, but call-graph construction needs real tokens:
 //! identifiers with positions, punctuation, and comments as first-class
 //! tokens (the `// lint: hot-path` and `// INVARIANT:` annotations live

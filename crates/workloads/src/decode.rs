@@ -92,9 +92,9 @@ pub struct OpMixGates {
 /// over `m` — the table is exact by construction, not by re-deriving the
 /// math — bracketed around an analytic first guess so the build costs a
 /// handful of `powf` calls per rank. A coarse guide array (buckets of
-/// `2^`[`Self::GUIDE_SHIFT`] draws) turns a head decode into one guide
-/// load plus a short boundary scan. Draws past the last head boundary
-/// take the legacy formula unchanged.
+/// `2^42` draws) turns a head decode into one guide load plus a short
+/// boundary scan. Draws past the last head boundary take the legacy
+/// formula unchanged.
 #[derive(Debug, Clone)]
 pub struct ZipfTable {
     lines: u64,
