@@ -1,63 +1,92 @@
-//! Hot-path throughput rig: simulated memory references per wall-clock
-//! second, per architecture and step mode, on a fixed workload.
+//! Hot-path throughput rig: host nanoseconds per simulated memory
+//! reference, per architecture, on a fixed workload — plus a same-run
+//! ratio gate that catches hot-path regressions on any host.
 //!
-//! Every simulated reference walks `System::access` → `OsKernel::touch` →
-//! `Hierarchy::access` → `HmaPolicy::access`; this runner measures how
-//! fast that walk goes on the host, independent of what it simulates.
-//! Each architecture is measured twice — once per [`StepMode`] — so the
-//! batched spine's speedup over the scalar spine is a recorded number.
-//! The output seeds the perf trajectory: `BENCH_hotpath.json` records
-//! accesses/sec and ns/access for a `fig15`-style cell of each
-//! architecture, so any hot-path regression shows up as a number, not a
-//! feeling.
+//! Every simulated reference walks `Core::step` → `System::access` →
+//! translation → the SRAM hierarchy → `HmaPolicy::access`; this runner
+//! measures how fast that walk goes on the host, independent of what it
+//! simulates. A cell is `System::new` + `spawn_rate_workload` +
+//! `prefault_all` (untimed), then `MultiCore::run` + `System::finalize`
+//! (timed), on a fixed workload: mcf, base seed 1, tiny-scale
+//! capacities. A table cell reports the fastest of `--reps` repetitions,
+//! because host interference only ever slows a run down.
 //!
-//! The workload is fixed (mcf, base seed 1, tiny-scale capacities) so
-//! runs on the same machine are comparable across commits. Wall-clock
-//! timing covers only the measured run, not spawn/prefault/warm-up.
+//! The table's absolute numbers describe the host that measured them;
+//! they are a record, not a gate. The gate compares two cells of one
+//! process instead: Chameleon-Opt against flat-small, run in
+//! [`GATE_PAIRS`] interleaved pairs, reduced to the median of the
+//! per-pair ns/access ratios. Host speed largely cancels out of that
+//! ratio, while a slowdown on the Chameleon-Opt spine (translation, the
+//! L3 walk, the SRRT policy, the stacked DRAM model) moves it. `--check`
+//! fails when the fresh median exceeds the committed ratio by more than
+//! [`RATIO_TOLERANCE`].
 //!
-//! Schema v3 adds two sections beyond the per-cell numbers: a scalar
-//! stage decomposition (decode drain / hierarchy-walk replay / residual
-//! translate+glue, see [`StageBreakdown`]) and a sharded batch-fill
-//! probe recording whether batched mode earns default status on this
-//! host ([`BatchedFillProbe`]).
-//!
-//! Usage: `bench_hotpath [--instr N] [--reps N] [--out PATH]
-//!                       [--check PATH] [--verify]`
-//!   --instr N    instructions per core for the measured run
-//!                (default 2,000,000; CI smoke passes a smaller N)
-//!   --reps N     measured repetitions per cell; the fastest is reported
-//!                (default 3 — best-of filters scheduler noise, which is
-//!                one-sided: interference only ever slows a run down)
+//! Usage: `bench_hotpath [--instr N] [--reps N] [--out PATH]`
+//!        `bench_hotpath --check PATH`
+//!   --instr N    instructions per core for each table cell
+//!                (default 2,000,000)
+//!   --reps N     repetitions per table cell; the fastest is reported
+//!                (default 3)
 //!   --out PATH   output JSON path (default BENCH_hotpath.json)
-//!   --check PATH instead of writing a report, measure the Chameleon-Opt
-//!                batched cell and fail (exit 1) if its ns/access
-//!                regressed more than 25% against the committed report
-//!                at PATH — the CI drift gate
-//!   --verify     instead of writing a report, run the Chameleon-Opt
-//!                cell in both step modes and fail (exit 1) unless the
-//!                two `SystemReport`s serialise to identical JSON — the
-//!                CI bit-identity smoke
+//!   --check PATH measure the gate ratio at the budget committed in
+//!                PATH and fail (exit 1) if it exceeds the committed
+//!                ratio by more than 10%; writes nothing
+//! Malformed arguments print the usage and exit 2.
 
+use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Instant;
 
-use chameleon::cache::{Hierarchy, PrefetchBuf, WritebackBuf};
-use chameleon::{Architecture, ScaledParams, StepMode, System};
-use chameleon_cpu::{InstructionStream, Op};
+use chameleon::cpu::{MemorySystem, MultiCore};
+use chameleon::{Architecture, ScaledParams, System};
 use serde::{Deserialize, Serialize};
 
-/// Fraction by which a fresh `--check` measurement may exceed the
-/// committed ns/access before the gate fails.
-const DRIFT_TOLERANCE: f64 = 0.25;
+/// The committed report's shape version; `--check` and the bench-crate
+/// schema test both pin it.
+const HOTPATH_SCHEMA_VERSION: u32 = 4;
 
-/// One (architecture, step mode) hot-path throughput measurement.
+/// The fixed workload every cell runs.
+const APP: &str = "mcf";
+
+/// Base stream seed of every cell.
+const SEED: u64 = 1;
+
+/// Architectures of the table.
+const ARCHS: [Architecture; 5] = [
+    Architecture::Pom,
+    Architecture::Chameleon,
+    Architecture::ChameleonOpt,
+    Architecture::Alloy,
+    Architecture::FlatSmall,
+];
+
+/// Instructions per core of each gate cell when a report is written.
+const GATE_INSTR: u64 = 250_000;
+
+/// Interleaved (Chameleon-Opt, flat-small) pairs per gate measurement.
+/// Odd, so the median is one measured pair. Many short pairs rather
+/// than a few long ones: a burst of host interference then spoils a few
+/// pairs, which the median ignores.
+const GATE_PAIRS: usize = 101;
+
+/// Fraction by which a fresh gate ratio may exceed the committed one.
+const RATIO_TOLERANCE: f64 = 0.10;
+
+const USAGE: &str = "usage: bench_hotpath [--instr N] [--reps N] [--out PATH]
+       bench_hotpath --check PATH
+  --instr N     instructions per core for each table cell (default 2000000)
+  --reps N      repetitions per table cell; the fastest is reported (default 3)
+  --out PATH    output JSON path (default BENCH_hotpath.json)
+  --check PATH  fail (exit 1) if the Chameleon-Opt / flat-small ns/access
+                ratio exceeds the one committed in PATH by more than 10%";
+
+/// One architecture's hot-path throughput measurement.
 #[derive(Debug, Serialize, Deserialize)]
 struct HotpathCell {
     /// Architecture label (paper legend spelling).
     arch: String,
     /// Workload name.
     app: String,
-    /// Step mode the cell ran under (`"scalar"` or `"batched"`).
-    mode: String,
     /// Simulated memory references the measured run issued.
     accesses: u64,
     /// Instructions retired across cores.
@@ -68,484 +97,423 @@ struct HotpathCell {
     accesses_per_sec: f64,
     /// Host cost: wall-clock nanoseconds per simulated reference.
     ns_per_access: f64,
-    /// Batched cells only: this cell's throughput over the same
-    /// architecture's scalar cell (`scalar ns/access ÷ batched
-    /// ns/access`); `null` on scalar cells.
-    speedup: Option<f64>,
 }
 
-/// Where the scalar hot path spends its time, measured on the
-/// Chameleon-Opt scalar cell: the decode stage is a pure stream drain,
-/// the walk stage replays the decoded reference trace through the fused
-/// SRAM hierarchy spine, and the translate/glue stage is the exact
-/// residual (total − decode − walk) — translation + memo + HMA policy +
-/// core/driver scheduling. Stages are each best-of-`reps` like the
-/// cells, so decode + walk + translate_glue reconstructs the committed
-/// total by construction.
+/// One gate measurement: the Chameleon-Opt cell's ns/access over the
+/// flat-small cell's, per interleaved pair.
 #[derive(Debug, Serialize, Deserialize)]
-struct StageBreakdown {
-    /// Pure workload decode: draining the cell's instruction streams
-    /// with no memory system attached, ns per memory reference.
-    decode_ns_per_access: f64,
-    /// SRAM hierarchy walk: replaying the decoded (core, addr, write)
-    /// trace through `fast_access` + full-walk fallback on an identical
-    /// hierarchy, ns per reference.
-    walk_ns_per_access: f64,
-    /// Residual host cost per reference: translation + memo + policy +
-    /// core/driver glue (`total − decode − walk`, clamped at zero).
-    translate_glue_ns_per_access: f64,
-    /// The Chameleon-Opt scalar cell total the stages decompose.
-    total_ns_per_access: f64,
-}
-
-/// The batched spine's sharded-fill re-measurement: ns/access for the
-/// Chameleon-Opt batched cell at each probed `fill_threads` count, and
-/// an honest verdict on whether batched mode earns default status on
-/// this host.
-#[derive(Debug, Serialize, Deserialize)]
-struct BatchedFillProbe {
-    /// Probed host-thread counts for the parallel batch decode.
-    fill_threads: Vec<usize>,
-    /// Best-of ns/access at the matching `fill_threads` entry.
-    ns_per_access: Vec<f64>,
-    /// Which step mode stays the default after this measurement.
-    default_mode: String,
-    /// One-line justification recorded with the numbers (e.g. host CPU
-    /// count), so the verdict is auditable later.
-    note: String,
+struct RatioGate {
+    /// Numerator architecture label.
+    numerator: String,
+    /// Denominator architecture label.
+    denominator: String,
+    /// Instructions per core of every gate cell.
+    instructions_per_core: u64,
+    /// Per-pair ns/access ratios, in measurement order.
+    pair_ratios: Vec<f64>,
+    /// Median of `pair_ratios`: what `--check` compares.
+    ratio: f64,
 }
 
 #[derive(Debug, Serialize, Deserialize)]
 struct HotpathReport {
-    /// Report shape version. v2 added per-mode cells and `speedup`; v3
-    /// added the scalar stage decomposition and the sharded-fill probe.
+    /// Report shape version. v4: scalar cells plus the ratio gate.
     schema_version: u32,
-    /// Instructions per core each cell ran.
+    /// Instructions per core each table cell ran.
     instructions_per_core: u64,
     /// Fixed workload every cell runs.
     app: String,
-    /// Per-(architecture, mode) measurements.
+    /// Repetitions per table cell (the fastest is reported).
+    reps: u32,
+    /// Per-architecture measurements.
     cells: Vec<HotpathCell>,
-    /// Scalar hot-path cost decomposition (Chameleon-Opt cell).
-    stages: StageBreakdown,
-    /// Sharded batch-fill re-measurement (Chameleon-Opt cell).
-    batched_fill: BatchedFillProbe,
+    /// The committed gate ratio.
+    gate: RatioGate,
 }
 
-/// The committed report's shape version; `--check` and the bench-crate
-/// schema test both pin it.
-const HOTPATH_SCHEMA_VERSION: u32 = 3;
+/// The memory system a timed cell's references go through: the bare
+/// [`System`], or an adapter wrapping it.
+trait CellMemory: MemorySystem {
+    /// The wrapped system; spawn, prefault and finalize call it directly.
+    fn system(&mut self) -> &mut System;
+}
 
-fn mode_label(mode: StepMode) -> &'static str {
-    match mode {
-        StepMode::Scalar => "scalar",
-        StepMode::Batched => "batched",
+impl CellMemory for System {
+    fn system(&mut self) -> &mut System {
+        self
     }
 }
 
-fn build_cell(arch: Architecture, instructions_per_core: u64, mode: StepMode) -> System {
+fn cell_params(instructions_per_core: u64) -> ScaledParams {
     let mut params = ScaledParams::tiny();
     params.instructions_per_core = instructions_per_core;
-    let mut system = System::new(arch, &params);
-    system.set_step_mode(mode);
-    system
+    params
 }
 
-fn measure_once(arch: Architecture, instructions_per_core: u64, mode: StepMode) -> HotpathCell {
-    let mut system = build_cell(arch, instructions_per_core, mode);
-    let streams = system
-        .spawn_rate_workload("mcf", instructions_per_core, 1)
+/// Runs the fixed workload through `mem` and times its measured phase.
+fn run_cell<M: CellMemory>(mut mem: M, params: &ScaledParams) -> HotpathCell {
+    let sys = mem.system();
+    let streams = sys
+        .spawn_rate_workload(APP, params.instructions_per_core, SEED)
         .expect("mcf is a Table II app");
-    system.prefault_all().expect("prefault");
-    system.reset_measurement();
+    sys.prefault_all().expect("prefault");
+    sys.reset_measurement();
     let started = Instant::now();
-    let report = system.run(streams);
+    let run = MultiCore::new(params.cores, params.core).run(streams, &mut mem);
+    let report = mem.system().finalize(run);
     let elapsed = started.elapsed();
-    let accesses: u64 = report.run.cores.iter().map(|c| c.mem_ops).sum();
-    let instructions = report.run.total_instructions();
+    let accesses = report.run.total_mem_ops();
     let elapsed_ns = elapsed.as_nanos() as u64;
-    let secs = elapsed.as_secs_f64().max(1e-12);
     HotpathCell {
         arch: report.arch,
         app: report.workload,
-        mode: mode_label(mode).to_owned(),
         accesses,
-        instructions,
+        instructions: report.run.total_instructions(),
         elapsed_ns,
-        accesses_per_sec: accesses as f64 / secs,
+        accesses_per_sec: accesses as f64 / elapsed.as_secs_f64().max(1e-12),
         ns_per_access: elapsed_ns as f64 / accesses.max(1) as f64,
-        speedup: None,
     }
 }
 
-/// Best of `reps` runs: each repetition simulates the identical cell, so
-/// the fastest wall-clock time is the cleanest estimate of the hot
-/// path's cost.
-fn measure(
-    arch: Architecture,
-    instructions_per_core: u64,
-    reps: u32,
-    mode: StepMode,
-) -> HotpathCell {
-    (0..reps.max(1))
-        .map(|_| measure_once(arch, instructions_per_core, mode))
-        .min_by(|a, b| a.elapsed_ns.cmp(&b.elapsed_ns))
+/// Best of `reps` runs of one architecture's cell.
+fn best_cell(arch: Architecture, params: &ScaledParams, reps: u32) -> HotpathCell {
+    (0..reps)
+        .map(|_| run_cell(System::new(arch, params), params))
+        .min_by_key(|c| c.elapsed_ns)
         .expect("at least one repetition")
 }
 
-/// Spawns the fixed cell workload the way every measured cell does.
-fn spawn_streams(
-    system: &mut System,
-    instructions_per_core: u64,
-) -> Vec<chameleon::workloads::AppStream> {
-    system
-        .spawn_rate_workload("mcf", instructions_per_core, 1)
-        .expect("mcf is a Table II app")
-}
-
-/// Stage probe 1 — decode: drains the cell's streams with no memory
-/// system attached. Returns (best ns/reference, reference count).
-fn measure_decode(instructions_per_core: u64, reps: u32) -> (f64, u64) {
-    let mut best = f64::INFINITY;
-    let mut refs = 0u64;
-    for _ in 0..reps.max(1) {
-        let mut system = build_cell(
-            Architecture::ChameleonOpt,
-            instructions_per_core,
-            StepMode::Scalar,
-        );
-        let mut streams = spawn_streams(&mut system, instructions_per_core);
-        let mut mem = 0u64;
-        let mut sink = 0u64;
-        let started = Instant::now();
-        for s in &mut streams {
-            while let Some(op) = s.next_op() {
-                if let Op::Load(a) | Op::Store(a) = op {
-                    mem += 1;
-                    sink = sink.wrapping_add(a);
-                }
-            }
-        }
-        let ns = started.elapsed().as_nanos() as f64;
-        std::hint::black_box(sink);
-        refs = mem;
-        best = best.min(ns / mem.max(1) as f64);
+fn median(values: &[f64]) -> f64 {
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    let mid = v.len() / 2;
+    if v.len() % 2 == 1 {
+        v[mid]
+    } else {
+        (v[mid - 1] + v[mid]) / 2.0
     }
-    (best, refs)
 }
 
-/// Stage probe 2 — walk: replays the decoded (core, addr, write) trace
-/// through the SRAM hierarchy spine the system uses (fused fast path,
-/// full walk on fallback). Identity-translated addresses keep the probe
-/// side-effect-free with respect to the OS layer; hit/miss mix is not
-/// identical to the measured cell's, but the per-probe host cost is
-/// what this stage prices. Returns best ns/reference.
-fn measure_walk(instructions_per_core: u64, reps: u32) -> f64 {
-    let params = ScaledParams::tiny();
-    // Decode each core's reference trace once.
-    let mut system = build_cell(
-        Architecture::ChameleonOpt,
-        instructions_per_core,
-        StepMode::Scalar,
-    );
-    let streams = spawn_streams(&mut system, instructions_per_core);
-    let cores = streams.len();
-    let traces: Vec<Vec<(u64, bool)>> = streams
-        .into_iter()
-        .map(|mut s| {
-            let mut v = Vec::new();
-            while let Some(op) = s.next_op() {
-                match op {
-                    Op::Load(a) => v.push((a, false)),
-                    Op::Store(a) => v.push((a, true)),
-                    Op::Compute(_) => {}
-                }
+/// Measures the gate: `pairs` interleaved Chameleon-Opt and flat-small
+/// cells in this process. The Chameleon-Opt side runs through
+/// `wrap(system)`, so a caller can put an adapter in its path.
+fn gate_ratio<M: CellMemory>(
+    wrap: impl Fn(System) -> M,
+    instructions_per_core: u64,
+    pairs: usize,
+) -> RatioGate {
+    let params = cell_params(instructions_per_core);
+    let opt = || {
+        let sys = System::new(Architecture::ChameleonOpt, &params);
+        run_cell(wrap(sys), &params).ns_per_access
+    };
+    let flat = || run_cell(System::new(Architecture::FlatSmall, &params), &params).ns_per_access;
+    let pair_ratios: Vec<f64> = (0..pairs)
+        .map(|i| {
+            // Alternate which side goes first, so a drift in host speed
+            // within a pair favours neither.
+            if i % 2 == 0 {
+                let o = opt();
+                o / flat()
+            } else {
+                let f = flat();
+                opt() / f
             }
-            v
         })
         .collect();
-    let total: usize = traces.iter().map(Vec::len).sum();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let mut h = Hierarchy::new(
-            cores,
-            params.l1.clone(),
-            params.l2.clone(),
-            params.l3.clone(),
-        );
-        let mut wb = WritebackBuf::new();
-        let mut pf = PrefetchBuf::new();
-        let mut cursors = vec![0usize; cores];
-        let mut sink = 0u64;
-        let started = Instant::now();
-        // Round-robin across cores, mirroring the min-clock scheduler's
-        // roughly even interleaving on a rate-symmetric workload.
-        let mut live = cores;
-        while live > 0 {
-            live = 0;
-            for (core, trace) in traces.iter().enumerate() {
-                let i = cursors[core];
-                if i >= trace.len() {
-                    continue;
-                }
-                live += 1;
-                cursors[core] = i + 1;
-                let (addr, write) = trace[i];
-                let (_, lat) = match h.fast_access(core, addr, write) {
-                    Some(out) => out,
-                    None => h.access_into(core, addr, write, &mut wb, &mut pf),
-                };
-                sink = sink.wrapping_add(lat as u64);
-            }
-        }
-        let ns = started.elapsed().as_nanos() as f64;
-        std::hint::black_box(sink);
-        best = best.min(ns / total.max(1) as f64);
-    }
-    best
-}
-
-/// Builds the scalar stage decomposition around an already-measured
-/// Chameleon-Opt scalar cell.
-fn measure_stages(scalar: &HotpathCell, instructions_per_core: u64, reps: u32) -> StageBreakdown {
-    let (decode, _) = measure_decode(instructions_per_core, reps);
-    let walk = measure_walk(instructions_per_core, reps);
-    let total = scalar.ns_per_access;
-    StageBreakdown {
-        decode_ns_per_access: decode,
-        walk_ns_per_access: walk,
-        translate_glue_ns_per_access: (total - decode - walk).max(0.0),
-        total_ns_per_access: total,
+    RatioGate {
+        numerator: Architecture::ChameleonOpt.label(),
+        denominator: Architecture::FlatSmall.label(),
+        instructions_per_core,
+        ratio: median(&pair_ratios),
+        pair_ratios,
     }
 }
 
-/// Re-measures the Chameleon-Opt batched cell with the parallel batch
-/// fill sharded over each thread count, and records whether batched mode
-/// earns default status on this host (it must beat the scalar cell at
-/// some probed count to).
-fn measure_batched_fill(
-    scalar_ns: f64,
-    instructions_per_core: u64,
-    reps: u32,
-    threads: &[usize],
-) -> BatchedFillProbe {
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut ns = Vec::with_capacity(threads.len());
-    for &t in threads {
-        let best = (0..reps.max(1))
-            .map(|_| {
-                let mut system = build_cell(
-                    Architecture::ChameleonOpt,
-                    instructions_per_core,
-                    StepMode::Batched,
-                );
-                system.set_fill_threads(t);
-                let streams = spawn_streams(&mut system, instructions_per_core);
-                system.prefault_all().expect("prefault");
-                system.reset_measurement();
-                let started = Instant::now();
-                let report = system.run(streams);
-                let elapsed_ns = started.elapsed().as_nanos() as f64;
-                let accesses: u64 = report.run.cores.iter().map(|c| c.mem_ops).sum();
-                elapsed_ns / accesses.max(1) as f64
-            })
-            .fold(f64::INFINITY, f64::min);
-        ns.push(best);
-    }
-    let batched_best = ns.iter().copied().fold(f64::INFINITY, f64::min);
-    let earns_default = batched_best < scalar_ns;
-    BatchedFillProbe {
-        fill_threads: threads.to_vec(),
-        ns_per_access: ns,
-        default_mode: if earns_default { "batched" } else { "scalar" }.to_owned(),
-        note: format!(
-            "host has {host_cpus} CPU(s); batched best {batched_best:.1} ns/access vs \
-             scalar {scalar_ns:.1} — {}",
-            if earns_default {
-                "batched wins, promote it"
-            } else {
-                "sharded fill cannot beat the scalar spine here, scalar stays default"
-            }
-        ),
-    }
-}
-
-/// The `--check` drift gate: measure the Chameleon-Opt batched cell
-/// fresh and compare against the committed report. Returns an error
-/// message when the committed numbers no longer describe this tree.
-fn check_drift(path: &str, instructions_per_core: u64, reps: u32) -> Result<(), String> {
+fn load_report(path: &str) -> Result<HotpathReport, String> {
     let data = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let committed: HotpathReport =
+    let report: HotpathReport =
         serde_json::from_str(&data).map_err(|e| format!("parse {path}: {e}"))?;
-    if committed.schema_version != HOTPATH_SCHEMA_VERSION {
+    if report.schema_version != HOTPATH_SCHEMA_VERSION {
         return Err(format!(
             "{path}: schema_version {} (expected {HOTPATH_SCHEMA_VERSION}); \
              regenerate with `cargo run --release -p chameleon-bench --bin bench_hotpath`",
-            committed.schema_version
+            report.schema_version
         ));
     }
-    let reference = committed
-        .cells
+    Ok(report)
+}
+
+/// The gate: measures the ratio fresh over `pairs` pairs, with the
+/// Chameleon-Opt side going through `wrap`, and compares it with the
+/// committed one.
+fn check_gate<M: CellMemory>(
+    committed: &RatioGate,
+    wrap: impl Fn(System) -> M,
+    pairs: usize,
+) -> Result<(), String> {
+    let fresh = gate_ratio(wrap, committed.instructions_per_core, pairs);
+    let limit = committed.ratio * (1.0 + RATIO_TOLERANCE);
+    let (lo, hi) = fresh
+        .pair_ratios
         .iter()
-        .find(|c| c.arch == "Chameleon-Opt" && c.mode == "batched")
-        .ok_or_else(|| format!("{path}: no Chameleon-Opt batched cell"))?;
-    let fresh = measure(
-        Architecture::ChameleonOpt,
-        instructions_per_core,
-        reps,
-        StepMode::Batched,
-    );
-    let limit = reference.ns_per_access * (1.0 + DRIFT_TOLERANCE);
+        .fold((f64::INFINITY, 0.0f64), |(lo, hi), &r| {
+            (lo.min(r), hi.max(r))
+        });
     println!(
-        "[check] Chameleon-Opt batched: fresh {:.1} ns/access vs committed {:.1} \
-         (limit {:.1})",
-        fresh.ns_per_access, reference.ns_per_access, limit
+        "[check] {} / {} ns/access: median {:.4} of {} pairs (spread {lo:.4}..{hi:.4}) \
+         vs committed {:.4}, limit {limit:.4}",
+        fresh.numerator,
+        fresh.denominator,
+        fresh.ratio,
+        fresh.pair_ratios.len(),
+        committed.ratio
     );
-    if fresh.ns_per_access > limit {
+    if fresh.ratio > limit {
         return Err(format!(
-            "hot-path regression: fresh Chameleon-Opt batched ns/access {:.1} exceeds \
-             committed {:.1} by more than {:.0}%",
-            fresh.ns_per_access,
-            reference.ns_per_access,
-            DRIFT_TOLERANCE * 100.0
+            "hot-path regression: ratio {:.4} exceeds committed {:.4} by more than {:.0}%",
+            fresh.ratio,
+            committed.ratio,
+            RATIO_TOLERANCE * 100.0
         ));
     }
     Ok(())
 }
 
-/// The `--verify` bit-identity smoke: the same cell must serialise to
-/// the same `SystemReport` JSON under both step modes.
-fn verify_bit_identity(instructions_per_core: u64) -> Result<(), String> {
-    let run = |mode: StepMode| {
-        let mut system = build_cell(Architecture::ChameleonOpt, instructions_per_core, mode);
-        let streams = system
-            .spawn_rate_workload("mcf", instructions_per_core, 1)
-            .expect("mcf is a Table II app");
-        system.prefault_all().expect("prefault");
-        system.reset_measurement();
-        let report = system.run(streams);
-        serde_json::to_string(&report).expect("reports serialise")
-    };
-    let scalar = run(StepMode::Scalar);
-    let batched = run(StepMode::Batched);
-    if scalar == batched {
-        println!(
-            "[verify] scalar and batched reports identical ({} bytes, {} instr/core)",
-            scalar.len(),
-            instructions_per_core
-        );
-        Ok(())
-    } else {
-        Err(format!(
-            "scalar and batched SystemReports diverged ({} vs {} bytes) — the batched \
-             spine broke bit-identity",
-            scalar.len(),
-            batched.len()
-        ))
+/// Parsed command line.
+#[derive(Debug)]
+struct Args {
+    instructions_per_core: u64,
+    reps: u32,
+    out: String,
+    check: Option<String>,
+}
+
+/// A positive integer flag value.
+fn positive<T: FromStr + Default + PartialEq>(
+    flag: &str,
+    value: Option<String>,
+) -> Result<T, String> {
+    let v = value.ok_or_else(|| format!("{flag} takes a value"))?;
+    match v.parse::<T>() {
+        Ok(n) if n != T::default() => Ok(n),
+        Ok(_) => Err(format!("{flag} must be at least 1")),
+        Err(_) => Err(format!("{flag} takes a positive integer, got {v:?}")),
     }
 }
 
-fn main() {
-    let mut instructions_per_core: u64 = 2_000_000;
-    let mut reps: u32 = 3;
-    let mut out = "BENCH_hotpath.json".to_owned();
-    let mut check: Option<String> = None;
-    let mut verify = false;
-    let mut args = std::env::args().skip(1);
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut parsed = Args {
+        instructions_per_core: 2_000_000,
+        reps: 3,
+        out: "BENCH_hotpath.json".to_owned(),
+        check: None,
+    };
+    let mut table_flags = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--instr" => {
-                let v = args.next().expect("--instr takes a value");
-                instructions_per_core = v.parse().expect("--instr takes an integer");
-            }
-            "--reps" => {
-                let v = args.next().expect("--reps takes a value");
-                reps = v.parse().expect("--reps takes an integer");
-            }
-            "--out" => out = args.next().expect("--out takes a path"),
-            "--check" => check = Some(args.next().expect("--check takes a path")),
-            "--verify" => verify = true,
-            other => panic!("unknown argument {other:?}"),
+            "--instr" => parsed.instructions_per_core = positive(&arg, args.next())?,
+            "--reps" => parsed.reps = positive(&arg, args.next())?,
+            "--out" => parsed.out = args.next().ok_or("--out takes a path")?,
+            "--check" => parsed.check = Some(args.next().ok_or("--check takes a path")?),
+            other => return Err(format!("unknown argument {other:?}")),
         }
+        table_flags |= arg != "--check";
     }
+    if parsed.check.is_some() && table_flags {
+        return Err("--check takes no other flag: its budget is the committed one".to_owned());
+    }
+    Ok(parsed)
+}
 
-    if verify {
-        if let Err(msg) = verify_bit_identity(instructions_per_core) {
-            eprintln!("[verify] FAILED: {msg}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if let Some(path) = check {
-        if let Err(msg) = check_drift(&path, instructions_per_core, reps) {
-            eprintln!("[check] FAILED: {msg}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    let archs = [
-        Architecture::Pom,
-        Architecture::Chameleon,
-        Architecture::ChameleonOpt,
-        Architecture::Alloy,
-        Architecture::FlatSmall,
-    ];
+fn write_report(args: &Args) -> Result<(), String> {
+    let params = cell_params(args.instructions_per_core);
     println!(
-        "[hotpath] {} instr/core, fixed workload mcf, {} architectures x 2 modes, best of {}",
-        instructions_per_core,
-        archs.len(),
-        reps
+        "[hotpath] {} instr/core, fixed workload {APP}, {} architectures, best of {}",
+        args.instructions_per_core,
+        ARCHS.len(),
+        args.reps
     );
-    let mut cells = Vec::new();
-    let mut opt_scalar_ns = None;
-    for arch in archs {
-        let scalar = measure(arch, instructions_per_core, reps, StepMode::Scalar);
-        let mut batched = measure(arch, instructions_per_core, reps, StepMode::Batched);
-        batched.speedup = Some(scalar.ns_per_access / batched.ns_per_access.max(1e-12));
-        println!(
-            "  {:<14} scalar {:>7.1} ns/access   batched {:>7.1} ns/access   {:>5.2}x  ({} accesses)",
-            scalar.arch,
-            scalar.ns_per_access,
-            batched.ns_per_access,
-            batched.speedup.unwrap_or_default(),
-            batched.accesses
-        );
-        if arch == Architecture::ChameleonOpt {
-            opt_scalar_ns = Some(scalar.ns_per_access);
-        }
-        cells.push(scalar);
-        cells.push(batched);
-    }
-    let opt_scalar = cells
+    let cells: Vec<HotpathCell> = ARCHS
         .iter()
-        .find(|c| c.arch == "Chameleon-Opt" && c.mode == "scalar")
-        .expect("Chameleon-Opt scalar cell measured above");
-    let stages = measure_stages(opt_scalar, instructions_per_core, reps);
+        .map(|&arch| {
+            let cell = best_cell(arch, &params, args.reps);
+            println!(
+                "  {:<38} {:>7.1} ns/access  ({} accesses)",
+                cell.arch, cell.ns_per_access, cell.accesses
+            );
+            cell
+        })
+        .collect();
+    let gate = gate_ratio(std::convert::identity, GATE_INSTR, GATE_PAIRS);
     println!(
-        "  stages (Chameleon-Opt scalar): decode {:.1} + walk {:.1} + translate/glue {:.1} \
-         = {:.1} ns/access",
-        stages.decode_ns_per_access,
-        stages.walk_ns_per_access,
-        stages.translate_glue_ns_per_access,
-        stages.total_ns_per_access
+        "  gate: {} / {} = {:.4} (median of {} pairs at {} instr/core)",
+        gate.numerator, gate.denominator, gate.ratio, GATE_PAIRS, GATE_INSTR
     );
-    let batched_fill = measure_batched_fill(
-        opt_scalar_ns.expect("Chameleon-Opt is in the arch list"),
-        instructions_per_core,
-        reps,
-        &[1, 4],
-    );
-    println!("  batched fill: {}", batched_fill.note);
     let report = HotpathReport {
         schema_version: HOTPATH_SCHEMA_VERSION,
-        instructions_per_core,
-        app: "mcf".to_owned(),
+        instructions_per_core: args.instructions_per_core,
+        app: APP.to_owned(),
+        reps: args.reps,
         cells,
-        stages,
-        batched_fill,
+        gate,
     };
-    let json = serde_json::to_string_pretty(&report).expect("serialise report");
-    std::fs::write(&out, json).expect("write report");
-    println!("[saved {out}]");
+    let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
+    std::fs::write(&args.out, json).map_err(|e| format!("write {}: {e}", args.out))?;
+    println!("[saved {}]", args.out);
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(msg) => {
+            eprintln!("bench_hotpath: {msg}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    let result = match &args.check {
+        Some(path) => {
+            load_report(path).and_then(|r| check_gate(&r.gate, std::convert::identity, GATE_PAIRS))
+        }
+        None => write_report(&args),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("[hotpath] FAILED: {msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chameleon::cpu::Reply;
+
+    /// Gate cells and pairs in the test: few and small, so the debug
+    /// build finishes fast.
+    const TEST_INSTR: u64 = 50_000;
+    const TEST_PAIRS: usize = 61;
+
+    /// The slowdown the gate must catch.
+    const INJECTED: f64 = 0.15;
+
+    fn busy(iters: u64) {
+        let mut x = 0u64;
+        for i in 0..iters {
+            x = std::hint::black_box(x.wrapping_add(i));
+        }
+    }
+
+    /// Busy-loop iterations per host nanosecond: the fastest of three
+    /// timed runs of the loop, since interference only slows it. The
+    /// clock is read around whole runs, never per access.
+    fn busy_rate() -> f64 {
+        const CALIBRATION: u64 = 20_000_000;
+        (0..3)
+            .map(|_| {
+                let started = Instant::now();
+                busy(CALIBRATION);
+                CALIBRATION as f64 / (started.elapsed().as_nanos() as f64).max(1.0)
+            })
+            .fold(0.0, f64::max)
+    }
+
+    /// Accesses between two busy-loops. A loop of a few ns on every
+    /// access overlaps with the simulator's own cache misses on an
+    /// out-of-order core, so its cost depends on the build and the host;
+    /// one loop of several hundred ns every `PERIOD` accesses costs what
+    /// the calibration says, and adds the same host time per access on
+    /// average.
+    const PERIOD: u32 = 64;
+
+    /// Adds a calibrated busy-loop to the wrapped system's accesses.
+    struct Slowed {
+        sys: System,
+        iters: u64,
+        countdown: u32,
+    }
+
+    impl Slowed {
+        fn new(sys: System, iters: u64) -> Self {
+            Self {
+                sys,
+                iters,
+                countdown: PERIOD,
+            }
+        }
+    }
+
+    impl MemorySystem for Slowed {
+        fn access(&mut self, core: usize, addr: u64, write: bool, now: u64) -> Reply {
+            let reply = self.sys.access(core, addr, write, now);
+            self.countdown -= 1;
+            if self.countdown == 0 {
+                self.countdown = PERIOD;
+                busy(self.iters);
+            }
+            reply
+        }
+    }
+
+    impl CellMemory for Slowed {
+        fn system(&mut self) -> &mut System {
+            &mut self.sys
+        }
+    }
+
+    /// Median over interleaved pairs of the Chameleon-Opt cell's
+    /// ns/access with `iters` busy iterations every [`PERIOD`] accesses
+    /// over its ns/access without, minus one.
+    fn slowdown(iters: u64, params: &ScaledParams) -> f64 {
+        let pairs: Vec<f64> = (0..TEST_PAIRS)
+            .map(|_| {
+                let bare = System::new(Architecture::ChameleonOpt, params);
+                let bare = run_cell(bare, params).ns_per_access;
+                let sys = System::new(Architecture::ChameleonOpt, params);
+                run_cell(Slowed::new(sys, iters), params).ns_per_access / bare
+            })
+            .collect();
+        median(&pairs) - 1.0
+    }
+
+    /// Busy iterations per loop that add [`INJECTED`] of the
+    /// Chameleon-Opt cell's host time per access: a first estimate from
+    /// the loop's own rate, scaled once by the slowdown that estimate
+    /// measures, because the loop also costs the simulator some of its
+    /// cache contents and so slows it by more than its own run time.
+    fn calibrate(params: &ScaledParams) -> u64 {
+        let bare: Vec<f64> = (0..15)
+            .map(|_| {
+                let sys = System::new(Architecture::ChameleonOpt, params);
+                run_cell(sys, params).ns_per_access
+            })
+            .collect();
+        let estimate = (INJECTED * median(&bare) * f64::from(PERIOD) * busy_rate()).max(1.0);
+        let measured = slowdown(estimate as u64, params).max(0.01);
+        (estimate * INJECTED / measured).round() as u64
+    }
+
+    #[test]
+    fn gate_passes_the_unchanged_spine_and_fails_a_15_percent_slowdown() {
+        let params = cell_params(TEST_INSTR);
+        let committed = gate_ratio(std::convert::identity, TEST_INSTR, TEST_PAIRS);
+        let iters = calibrate(&params);
+        let injected = slowdown(iters, &params);
+        eprintln!(
+            "{iters} busy iterations every {PERIOD} accesses slow Chameleon-Opt by {:.1}%",
+            injected * 100.0
+        );
+
+        check_gate(&committed, std::convert::identity, TEST_PAIRS)
+            .expect("the unchanged spine must pass its own gate");
+        let slowed = check_gate(&committed, |sys| Slowed::new(sys, iters), TEST_PAIRS);
+        assert!(
+            slowed.is_err(),
+            "a {:.1}% Chameleon-Opt slowdown must fail the gate",
+            injected * 100.0
+        );
+    }
 }

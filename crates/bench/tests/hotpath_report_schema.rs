@@ -1,8 +1,8 @@
-//! Golden-schema test for the committed `BENCH_hotpath.json`: the perf
-//! trajectory is only useful if every commit's numbers are comparable,
-//! so the committed report must keep the shape `bench_hotpath` writes —
-//! schema version, per-mode cells, and a batched Chameleon-Opt cell with
-//! a recorded speedup (the drift gate's reference point).
+//! Golden-schema test for the committed `BENCH_hotpath.json`: the
+//! committed report must keep the shape `bench_hotpath` writes — schema
+//! version, one scalar cell per table architecture, and the ratio gate's
+//! committed Chameleon-Opt / flat-small ratio that `--check` compares
+//! against.
 
 use serde::Value;
 
@@ -23,116 +23,76 @@ fn field<'a>(v: &'a Value, name: &str) -> &'a Value {
     }
 }
 
+fn has_field(v: &Value, name: &str) -> bool {
+    matches!(v, Value::Object(pairs) if pairs.iter().any(|(k, _)| k == name))
+}
+
 #[test]
-fn committed_hotpath_report_matches_v3_schema() {
+fn committed_hotpath_report_matches_v4_schema() {
     let report = committed_report();
     assert_eq!(
         field(&report, "schema_version").as_u64(),
-        Some(3),
-        "BENCH_hotpath.json must be regenerated at schema v3"
+        Some(4),
+        "BENCH_hotpath.json must be regenerated at schema v4"
     );
+    for gone in ["stages", "batched_fill"] {
+        assert!(!has_field(&report, gone), "v4 carries no {gone:?} section");
+    }
     let Value::Array(cells) = field(&report, "cells") else {
         panic!("cells must be an array");
     };
-    assert!(!cells.is_empty(), "committed report has no cells");
+    let archs: Vec<&str> = cells
+        .iter()
+        .map(|c| field(c, "arch").as_str().expect("arch is a string"))
+        .collect();
+    for want in [
+        "PoM",
+        "Chameleon",
+        "Chameleon-Opt",
+        "Alloy-Cache",
+        "baseline_small_DDR (no stacked DRAM)",
+    ] {
+        assert!(archs.contains(&want), "missing {want} cell in {archs:?}");
+    }
     for cell in cells {
-        let mode = field(cell, "mode").as_str().expect("mode is a string");
-        assert!(
-            mode == "scalar" || mode == "batched",
-            "unknown step mode {mode:?}"
-        );
+        for gone in ["mode", "speedup"] {
+            assert!(!has_field(cell, gone), "v4 cells carry no {gone:?}");
+        }
         let ns = field(cell, "ns_per_access")
             .as_f64()
             .expect("ns_per_access");
         assert!(ns > 0.0, "ns_per_access must be positive");
-        let speedup = field(cell, "speedup");
-        match mode {
-            "batched" => assert!(
-                speedup.as_f64().unwrap_or(0.0) > 0.0,
-                "batched cells record their speedup"
-            ),
-            _ => assert!(
-                matches!(speedup, Value::Null),
-                "scalar cells carry no speedup"
-            ),
-        }
+        assert!(field(cell, "accesses").as_u64().unwrap_or(0) > 0);
     }
 }
 
 #[test]
-fn committed_report_carries_stage_breakdown() {
+fn committed_report_carries_the_gate_ratio() {
     let report = committed_report();
-    let stages = field(&report, "stages");
-    let decode = field(stages, "decode_ns_per_access")
-        .as_f64()
-        .expect("decode_ns_per_access");
-    let walk = field(stages, "walk_ns_per_access")
-        .as_f64()
-        .expect("walk_ns_per_access");
-    let glue = field(stages, "translate_glue_ns_per_access")
-        .as_f64()
-        .expect("translate_glue_ns_per_access");
-    let total = field(stages, "total_ns_per_access")
-        .as_f64()
-        .expect("total_ns_per_access");
-    assert!(decode > 0.0, "decode stage must be measured");
-    assert!(walk > 0.0, "walk stage must be measured");
-    assert!(glue >= 0.0, "glue residual is clamped non-negative");
-    // The glue is defined as the residual, so the parts must re-add to
-    // the measured total (up to float formatting).
-    assert!(
-        (decode + walk + glue - total).abs() <= 1e-6 * total.max(1.0),
-        "stage parts must sum to the total: {decode} + {walk} + {glue} != {total}"
-    );
-}
-
-#[test]
-fn committed_report_carries_batched_fill_probe() {
-    let report = committed_report();
-    let probe = field(&report, "batched_fill");
-    let Value::Array(threads) = field(probe, "fill_threads") else {
-        panic!("fill_threads must be an array");
-    };
-    let Value::Array(ns) = field(probe, "ns_per_access") else {
-        panic!("ns_per_access must be an array");
-    };
-    assert!(!threads.is_empty(), "probe must cover some thread counts");
+    let gate = field(&report, "gate");
+    assert_eq!(field(gate, "numerator").as_str(), Some("Chameleon-Opt"));
     assert_eq!(
-        threads.len(),
-        ns.len(),
-        "one measurement per probed thread count"
+        field(gate, "denominator").as_str(),
+        Some("baseline_small_DDR (no stacked DRAM)")
     );
-    assert!(
-        threads.iter().any(|t| t.as_u64() == Some(1)),
-        "the single-threaded reference point must be probed"
-    );
-    for v in ns {
-        assert!(v.as_f64().unwrap_or(0.0) > 0.0, "measurements are positive");
-    }
-    let mode = field(probe, "default_mode").as_str().expect("default_mode");
-    assert!(
-        mode == "scalar" || mode == "batched",
-        "default_mode must name a StepMode, got {mode:?}"
-    );
-    assert!(
-        !field(probe, "note").as_str().expect("note").is_empty(),
-        "the probe must record its honest verdict"
-    );
-}
-
-#[test]
-fn committed_report_covers_chameleon_opt_in_both_modes() {
-    let report = committed_report();
-    let Value::Array(cells) = field(&report, "cells") else {
-        panic!("cells must be an array");
+    assert!(field(gate, "instructions_per_core").as_u64().unwrap_or(0) > 0);
+    let Value::Array(pairs) = field(gate, "pair_ratios") else {
+        panic!("pair_ratios must be an array");
     };
-    for want in ["scalar", "batched"] {
-        assert!(
-            cells
-                .iter()
-                .any(|c| field(c, "arch").as_str() == Some("Chameleon-Opt")
-                    && field(c, "mode").as_str() == Some(want)),
-            "missing Chameleon-Opt {want} cell — the drift gate needs it"
-        );
-    }
+    assert!(
+        pairs.len() % 2 == 1,
+        "an odd pair count keeps the median a sample"
+    );
+    let mut ratios: Vec<f64> = pairs
+        .iter()
+        .map(|r| r.as_f64().expect("ratios are numbers"))
+        .collect();
+    assert!(ratios.iter().all(|&r| r > 0.0), "ratios are positive");
+    ratios.sort_by(f64::total_cmp);
+    let ratio = field(gate, "ratio").as_f64().expect("ratio");
+    assert_eq!(
+        ratio,
+        ratios[ratios.len() / 2],
+        "the committed ratio is the median of the pair ratios"
+    );
 }

@@ -3,7 +3,7 @@
 use chameleon_simkit::Cycle;
 use serde::{Deserialize, Serialize};
 
-use crate::{MemorySystem, Op, Reply};
+use crate::{MemorySystem, Op};
 
 /// Core microarchitecture parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -178,57 +178,38 @@ impl Core {
     // lint: hot-path
     pub fn step<M: MemorySystem + ?Sized>(&mut self, op: Op, mem: &mut M) -> Cycle {
         match op {
-            Op::Compute(n) => self.step_compute(n),
+            Op::Compute(n) => {
+                self.retire_window(n as u64);
+                self.clock += n as Cycle;
+                self.report.instructions += n as u64;
+            }
             Op::Load(addr) | Op::Store(addr) => {
                 let write = matches!(op, Op::Store(_));
-                self.step_mem_with(|id, now| mem.access(id, addr, write, now))
+                self.retire_window(1);
+                // Respect the MLP bound.
+                if self.outstanding.len() == self.cfg.mlp {
+                    // INVARIANT: len == mlp >= 1, checked on the previous line.
+                    let oldest = self.outstanding.pop_front().expect("len checked");
+                    self.stall_until(oldest.complete_at);
+                }
+                self.clock += 1; // issue slot
+                self.report.instructions += 1;
+                self.report.mem_ops += 1;
+                let reply = mem.access(self.id, addr, write, self.clock);
+                if reply.fault_stall > 0 {
+                    // A page fault blocks the whole core: wait out any
+                    // outstanding accesses, then serve the fault.
+                    while let Some(o) = self.outstanding.pop_front() {
+                        self.stall_until(o.complete_at);
+                    }
+                    self.fault_stall(reply.fault_stall);
+                }
+                self.outstanding.push_back(Outstanding {
+                    complete_at: self.clock + reply.latency,
+                    issued_at_instr: self.report.instructions,
+                });
             }
         }
-    }
-
-    /// Executes one compute op of `n` instructions. Returns the new
-    /// local clock.
-    // lint: hot-path
-    #[inline]
-    pub fn step_compute(&mut self, n: u32) -> Cycle {
-        self.retire_window(n as u64);
-        self.clock += n as Cycle;
-        self.report.instructions += n as u64;
-        self.clock
-    }
-
-    /// Executes one memory op; `access` receives the core id and the
-    /// issue cycle and returns the memory system's reply. This is the
-    /// timing model [`Core::step`] uses for loads and stores, exposed so
-    /// the batched driver can route the access through
-    /// [`crate::BatchMemory::access_batched`] with identical scheduling.
-    /// Returns the new local clock.
-    // lint: hot-path
-    #[inline]
-    pub fn step_mem_with(&mut self, access: impl FnOnce(usize, u64) -> Reply) -> Cycle {
-        self.retire_window(1);
-        // Respect the MLP bound.
-        if self.outstanding.len() == self.cfg.mlp {
-            // INVARIANT: len == mlp >= 1, checked on the previous line.
-            let oldest = self.outstanding.pop_front().expect("len checked");
-            self.stall_until(oldest.complete_at);
-        }
-        self.clock += 1; // issue slot
-        self.report.instructions += 1;
-        self.report.mem_ops += 1;
-        let reply = access(self.id, self.clock);
-        if reply.fault_stall > 0 {
-            // A page fault blocks the whole core: wait out any
-            // outstanding accesses, then serve the fault.
-            while let Some(o) = self.outstanding.pop_front() {
-                self.stall_until(o.complete_at);
-            }
-            self.fault_stall(reply.fault_stall);
-        }
-        self.outstanding.push_back(Outstanding {
-            complete_at: self.clock + reply.latency,
-            issued_at_instr: self.report.instructions,
-        });
         self.clock
     }
 
